@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-key reproduce lint lint-fixtures lint-json smoke-metrics smoke-chaos smoke-serve smoke-stream smoke-live smoke-crash smoke-multi clean
+.PHONY: check build vet test race bench bench-key bench-sim reproduce lint lint-fixtures lint-json smoke-metrics smoke-chaos smoke-serve smoke-stream smoke-live smoke-crash smoke-multi clean
 
 # check is the tier-1 gate: vet, build, the analyzer suite (plus the guard
 # that keeps its fixtures honest), the full test suite under the race
@@ -57,6 +57,11 @@ bench:
 
 bench-key:
 	$(GO) test -bench='BenchmarkFig07PPE|BenchmarkTable2SelfInterest' -benchtime=3x -run=^$$ .
+
+# bench-sim times the simulator alone: cold data set C builds at 8 h and
+# 24 h, reporting tx/s, blocks/s and allocs/tx.
+bench-sim:
+	$(GO) test -bench='BenchmarkSimBuildC' -benchtime=5x -run=^$$ .
 
 reproduce:
 	$(GO) run ./cmd/reproduce

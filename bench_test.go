@@ -7,16 +7,22 @@
 // own simulations per iteration by design (the simulation *is* the
 // experiment there).
 //
+// BenchmarkSimBuildC is the exception: it times the simulator itself.
+//
 // Run everything:
 //
 //	go test -bench=. -benchmem
 package main
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"chainaudit/internal/core"
+	"chainaudit/internal/dataset"
 	"chainaudit/internal/experiments"
 	"chainaudit/internal/index"
 )
@@ -92,6 +98,36 @@ func BenchmarkWindowAuditPPE(b *testing.B) {
 		if rep := w.AuditPPE(32, core.AuditOptions{}); rep.Overall.N == 0 {
 			b.Fatal("empty")
 		}
+	}
+}
+
+// BenchmarkSimBuildC times a cold data set C simulation (seed 3, 50 kvB
+// blocks, uncached) at two spans, reporting committed transactions and
+// blocks per second of build time and heap allocations per committed
+// transaction. The 8 h span is the perfbench reference scenario.
+func BenchmarkSimBuildC(b *testing.B) {
+	for _, span := range []time.Duration{8 * time.Hour, 24 * time.Hour} {
+		b.Run(fmt.Sprintf("%dh", int(span.Hours())), func(b *testing.B) {
+			opts := dataset.Options{Seed: 3, Duration: span, BlockCapacity: 50_000}
+			var txs, blocks int64
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ds, err := dataset.BuildC(opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				txs += ds.Result.Chain.TxCount()
+				blocks += int64(ds.Result.Chain.Len())
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&m1)
+			secs := b.Elapsed().Seconds()
+			b.ReportMetric(float64(txs)/secs, "tx/s")
+			b.ReportMetric(float64(blocks)/secs, "blocks/s")
+			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(txs), "allocs/tx")
+		})
 	}
 }
 

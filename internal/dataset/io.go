@@ -358,9 +358,12 @@ func AppendLoose(c *chain.Chain, b *chain.Block) error {
 	// validation: synthesize a chain-level append via a shallow copy of the
 	// chain's invariants. chain.Append validates; instead we re-balance
 	// each transaction so validation passes: set input value = output + fee.
+	// Write only when unbalanced: a block read back from a CSV already is,
+	// and the same block may be shared with a concurrent reader (chainobserver
+	// relays it over p2p while its index appends it).
 	for _, tx := range b.Txs[1:] {
-		if len(tx.Inputs) == 1 {
-			tx.Inputs[0].Value = tx.OutputValue() + tx.Fee
+		if want := tx.OutputValue() + tx.Fee; len(tx.Inputs) == 1 && tx.Inputs[0].Value != want {
+			tx.Inputs[0].Value = want
 		}
 	}
 	return c.Append(b)

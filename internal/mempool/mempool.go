@@ -75,6 +75,9 @@ type Pool struct {
 	// spenders indexes in-pool entries by the outpoints they spend, for
 	// conflict (double-spend) detection.
 	spenders map[chain.OutPoint]*Entry
+	// vsize is the running total of every entry's virtual size, kept by Add
+	// and Remove (every other mutator goes through those two).
+	vsize    int64
 	rejected int64
 	accepted int64
 }
@@ -138,6 +141,7 @@ func (p *Pool) Add(tx *chain.Tx, seen time.Time) error {
 		}
 	}
 	p.entries[tx.ID] = e
+	p.vsize += tx.VSize
 	p.accepted++
 	return nil
 }
@@ -151,6 +155,7 @@ func (p *Pool) Remove(id chain.TxID) bool {
 		return false
 	}
 	delete(p.entries, id)
+	p.vsize -= e.Tx.VSize
 	for _, in := range e.Tx.Inputs {
 		delete(p.spenders, in.PrevOut)
 	}
@@ -224,14 +229,8 @@ func (p *Pool) Len() int { return len(p.entries) }
 
 // TotalVSize returns the aggregate virtual size of all pending transactions
 // — the paper's "Mempool size", compared against the 1 MB block capacity to
-// define congestion.
-func (p *Pool) TotalVSize() int64 {
-	var v int64
-	for _, e := range p.entries {
-		v += e.Tx.VSize
-	}
-	return v
-}
+// define congestion. It is O(1): the pool keeps a running total.
+func (p *Pool) TotalVSize() int64 { return p.vsize }
 
 // Stats returns cumulative accept/reject counters.
 func (p *Pool) Stats() (accepted, rejected int64) { return p.accepted, p.rejected }
@@ -239,16 +238,26 @@ func (p *Pool) Stats() (accepted, rejected int64) { return p.accepted, p.rejecte
 // Entries returns all pending entries in deterministic order (by first-seen
 // time, ties broken by ID). The entries are shared with the pool.
 func (p *Pool) Entries() []*Entry {
-	out := make([]*Entry, 0, len(p.entries))
-	for _, e := range p.entries {
-		out = append(out, e)
-	}
+	out := p.EntriesUnordered()
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].FirstSeen.Equal(out[j].FirstSeen) {
 			return out[i].FirstSeen.Before(out[j].FirstSeen)
 		}
 		return lessID(out[i].Tx.ID, out[j].Tx.ID)
 	})
+	return out
+}
+
+// EntriesUnordered returns all pending entries in unspecified order, without
+// the O(n log n) sort Entries pays. It is for consumers whose result cannot
+// depend on input order: every gbt.Policy ranks by (score, TxID), and a
+// maximum is a maximum. The entries are shared with the pool.
+func (p *Pool) EntriesUnordered() []*Entry {
+	out := make([]*Entry, 0, len(p.entries))
+	//lint:allow maporder callers are order-independent (see doc comment); Entries sorts its copy
+	for _, e := range p.entries {
+		out = append(out, e)
+	}
 	return out
 }
 

@@ -96,8 +96,9 @@ func descendantsOf(e *Entry) []*Entry {
 // EvictToSize shrinks the pool to at most maxVSize virtual bytes by
 // evicting the lowest-fee-rate transactions (each with its dependent
 // descendants, which cannot stand alone), the way Bitcoin Core trims an
-// over-budget mempool. It returns the evicted transactions. The whole trim
-// is one O(n log n) pass regardless of how many victims it takes.
+// over-budget mempool. It returns the evicted transactions. A pool already
+// within budget costs O(1); a trim is one O(n log n) pass regardless of how
+// many victims it takes.
 func (p *Pool) EvictToSize(maxVSize int64) []*chain.Tx {
 	if maxVSize < 0 {
 		maxVSize = 0
@@ -106,10 +107,7 @@ func (p *Pool) EvictToSize(maxVSize int64) []*chain.Tx {
 		return nil
 	}
 	// Snapshot ascending by fee-rate (ties by ID for determinism).
-	order := make([]*Entry, 0, len(p.entries))
-	for _, e := range p.entries {
-		order = append(order, e)
-	}
+	order := p.EntriesUnordered()
 	sort.Slice(order, func(i, j int) bool {
 		ri, rj := order[i].Tx.FeeRate(), order[j].Tx.FeeRate()
 		if ri != rj {
@@ -118,9 +116,8 @@ func (p *Pool) EvictToSize(maxVSize int64) []*chain.Tx {
 		return lessID(order[i].Tx.ID, order[j].Tx.ID)
 	})
 	var evicted []*chain.Tx
-	total := p.TotalVSize()
 	for _, victim := range order {
-		if total <= maxVSize {
+		if p.TotalVSize() <= maxVSize {
 			break
 		}
 		if !p.Contains(victim.Tx.ID) {
@@ -129,12 +126,10 @@ func (p *Pool) EvictToSize(maxVSize int64) []*chain.Tx {
 		desc := descendantsOf(victim)
 		if p.Remove(victim.Tx.ID) {
 			evicted = append(evicted, victim.Tx)
-			total -= victim.Tx.VSize
 		}
 		for _, d := range desc {
 			if p.Remove(d.Tx.ID) {
 				evicted = append(evicted, d.Tx)
-				total -= d.Tx.VSize
 			}
 		}
 	}

@@ -101,8 +101,8 @@ type observerState struct {
 	cfg  ObserverConfig
 	pool *mempool.Pool
 	data *ObserverData
-	// pending holds transactions scheduled for arrival so duplicates and
-	// late deliveries after confirmation can be discarded cheaply.
+	// snapshots counts captured snapshots (blackout slots excluded); every
+	// FullSnapshotEvery-th is a full capture.
 	snapshots int
 	// blackoutIdx cursors data.Blackouts: snapshot events arrive in time
 	// order per observer, so window membership is an O(1) amortized check.
@@ -444,7 +444,7 @@ func (e *engine) maybeAccelerate(tx *chain.Tx) {
 // topFeeRate scans the miner mempool for the best pending fee-rate.
 func (e *engine) topFeeRate() chain.SatPerVByte {
 	var top chain.SatPerVByte
-	for _, entry := range e.minerPool.Entries() {
+	for _, entry := range e.minerPool.EntriesUnordered() {
 		if r := entry.Tx.FeeRate(); r > top {
 			top = r
 		}
@@ -462,7 +462,9 @@ func (e *engine) mineBlock(winner *miner.Pool) error {
 	if e.rng.Float64() < e.cfg.EmptyBlockProb {
 		blk = winner.BuildBlock(e.height, e.now, nil, e.prevHash, e.cfg.BlockCapacity)
 	} else {
-		entries := e.minerPool.Entries()
+		// Every gbt.Policy orders by (score, TxID), so the template does not
+		// depend on the order entries arrive in and the pool need not sort.
+		entries := e.minerPool.EntriesUnordered()
 		if !winner.AllowLowFee {
 			kept := entries[:0]
 			for _, en := range entries {
